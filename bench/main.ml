@@ -507,9 +507,12 @@ let bench9 () =
       (fun i (m, g, p99, retries, shed, cpuq) ->
         Printf.bprintf b
           "    { \"offered_x\": %.1f, \"goodput_per_s\": %.1f, \
-           \"p99_ms\": %.2f, \"busy_retries\": %d, \"shed\": %d, \
+           \"p99_ms\": %s, \"busy_retries\": %d, \"shed\": %d, \
            \"max_cpu_queue\": %d }%s\n"
-          m g p99 retries shed cpuq
+          m g
+          (* no completion within the deadline: no percentile *)
+          (if Float.is_nan p99 then "null" else Printf.sprintf "%.2f" p99)
+          retries shed cpuq
           (if i = List.length pts - 1 then "" else ","))
       pts;
     Printf.bprintf b "  ]";

@@ -1,3 +1,4 @@
+open Repro_net
 open Repro_db
 
 module Id_tbl = Hashtbl.Make (struct
@@ -17,7 +18,11 @@ type t = {
          the authoritative membership index *)
   mutable red_count : int; (* live entries in [red] *)
   mutable red_dead : int; (* tombstoned entries still in [red] *)
-  green_pos : int Id_tbl.t; (* id -> green position *)
+  green_pos : int Id_tbl.t; (* id -> green position, above the floor *)
+  discard_cut : (Node_id.t, int) Hashtbl.t;
+      (* per creator: highest index discarded below the floor — green
+         prefixes per creator are contiguous, so every index up to it
+         is green *)
   bodies : Action.t Id_tbl.t; (* every body we hold *)
   red_set : unit Id_tbl.t; (* live red ids *)
 }
@@ -32,6 +37,7 @@ let create () =
     red_count = 0;
     red_dead = 0;
     green_pos = Id_tbl.create 256;
+    discard_cut = Hashtbl.create 16;
     bodies = Id_tbl.create 256;
     red_set = Id_tbl.create 256;
   }
@@ -65,7 +71,14 @@ let set_join_floor t ~count ~line =
   t.green_count <- count;
   t.floor_line <- line
 
-let is_green t id = Id_tbl.mem t.green_pos id
+let is_green t (id : Action.Id.t) =
+  Id_tbl.mem t.green_pos id
+  ||
+  match Hashtbl.find_opt t.discard_cut id.server with
+  | Some cut -> id.index <= cut
+  | None -> false
+
+let position t id = Id_tbl.find_opt t.green_pos id
 
 let discard_below t n =
   let n = min n t.green_count in
@@ -76,7 +89,12 @@ let discard_below t n =
     (* The last discarded body becomes the floor line. *)
     let last = t.green.(dropped - 1) in
     for i = 0 to dropped - 1 do
-      Id_tbl.remove t.bodies t.green.(i).Action.id
+      let id = t.green.(i).Action.id in
+      Id_tbl.remove t.bodies id;
+      Id_tbl.remove t.green_pos id;
+      match Hashtbl.find_opt t.discard_cut id.server with
+      | Some cut when cut >= id.index -> ()
+      | Some _ | None -> Hashtbl.replace t.discard_cut id.server id.index
     done;
     let remaining = stored - dropped in
     let ng = if remaining = 0 then [||] else Array.make remaining last in

@@ -20,6 +20,7 @@ type callbacks = {
   on_red : Action.t -> unit;
   on_transfer_request : joiner:Node_id.t -> join_green_count:int -> unit;
   on_self_leave : unit -> unit;
+  on_catch_up : sponsors:Node_id.t list -> unit;
   on_state_change : engine_state -> unit;
   send : service:Endpoint.service -> size:int -> payload -> unit;
 }
@@ -73,7 +74,12 @@ type t = {
   red_cut : (Node_id.t, int) Hashtbl.t;
   green_cut : (Node_id.t, int) Hashtbl.t; (* per creator: green prefix index *)
   green_counts : (Node_id.t, int) Hashtbl.t;
-  green_lines : (Node_id.t, Action.Id.t) Hashtbl.t;
+      (* per server: a green count it is known to have reached — the
+         white line is their minimum *)
+  mutable ckpt_line : Action.Id.t option;
+      (* green line of our last durable checkpoint: stamped on the
+         actions we create, it raises our entry in every peer's
+         [green_counts] (OR-1.1) *)
   pending_red : (Node_id.t, (int, Action.t) Hashtbl.t) Hashtbl.t;
   mutable pending_green : (int * Action.t) list;
   mutable ongoing : Action.t list; (* own undelivered actions, oldest first *)
@@ -230,8 +236,12 @@ let end_burst t =
 
 let note_own_green t pos (id : Action.Id.t) =
   Hashtbl.replace t.green_counts t.node pos;
-  Hashtbl.replace t.green_lines t.node id;
   Hashtbl.replace t.green_cut id.server id.index
+
+let raise_green_count t s pos =
+  match Hashtbl.find_opt t.green_counts s with
+  | Some c when c >= pos -> ()
+  | Some _ | None -> Hashtbl.replace t.green_counts s pos
 
 (* MarkRed.  Returns [true] when the action is newly accepted; gaps are
    buffered until the missing predecessors arrive (retransmissions from
@@ -298,11 +308,10 @@ and drain_pending_red t creator =
    PERSISTENT_JOIN / PERSISTENT_LEAVE (CodeSegment 5.1). *)
 let mark_green t (a : Action.t) =
   ignore (mark_red t a);
-  (* [is_green] only sees the queue above its floor; after a snapshot
-     resync (or a checkpoint discard) an id greened below the floor is
-     invisible to it, but the per-creator green cut still covers it —
-     re-appending such a copy would fork the total order against
-     replicas that remember the original position. *)
+  (* [is_green] does not see ids below a snapshot floor, but the
+     per-creator green cut still covers them — re-appending such a copy
+     would fork the total order against replicas that remember the
+     original position. *)
   if
     (not (Action_queue.is_green t.queue a.id))
     && a.id.index > green_cut t a.id.server
@@ -318,7 +327,6 @@ let mark_green t (a : Action.t) =
     | Action.Join joiner when not (Node_id.Set.mem joiner t.known_servers) ->
       t.known_servers <- Node_id.Set.add joiner t.known_servers;
       Hashtbl.replace t.green_counts joiner pos;
-      Hashtbl.replace t.green_lines joiner a.id;
       log_meta t;
       if Node_id.equal a.id.server t.node then
         t.cb.on_transfer_request ~joiner ~join_green_count:pos
@@ -392,7 +400,7 @@ let create_action t ~client ~semantics ~size ~req_seq ~req_ack ~kind
   t.action_index <- t.action_index + 1;
   let a =
     Action.make ~client ~semantics
-      ~green_line:(Action_queue.green_line t.queue)
+      ~green_line:t.ckpt_line
       ~size ~req_seq ~req_ack ~server:t.node ~index:t.action_index kind
   in
   t.ongoing <- t.ongoing @ [ a ];
@@ -570,6 +578,83 @@ let rec send_paced t payloads =
              if era = t.era && not t.halted then send_paced t rest))
     end
 
+(* Some green position this replica needs lies below every member's
+   floor (its body was discarded as white everywhere), so no
+   retransmission plan can bring it up to date: halt this engine and
+   hand over to the replica, which re-enters by snapshot through the
+   §5.1 transfer path from the members furthest ahead.  The view
+   changes once it has left, and the others exchange without it. *)
+let catch_up t =
+  let sponsors =
+    Node_id.Map.bindings t.states
+    |> List.filter (fun (m, _) -> not (Node_id.equal m t.node))
+    |> List.stable_sort (fun (_, a) (_, b) ->
+           Int.compare b.sm_green_count a.sm_green_count)
+    |> List.map fst
+  in
+  Log.info (fun m ->
+      m "n%d: green positions above %d lie below every member's floor; \
+         catching up by snapshot" t.node (Action_queue.green_count t.queue));
+  t.halted <- true;
+  t.cb.on_catch_up ~sponsors
+
+(* Retransmit my share of the exchange: green segments of the plan,
+   then red duties ("if most updated server: Retrans()").  Batched and
+   paced: a long-partitioned member may need thousands of actions, and
+   an unthrottled burst would clog receivers' CPUs long enough to trip
+   their failure detectors (a livelock a real engine avoids with
+   flow-controlled state transfer). *)
+let retransmit_share t knowledge =
+  let green_batches =
+    List.concat_map
+      (fun (source, from_pos, to_pos) ->
+        if Node_id.equal source t.node then begin
+          let rec batches pos acc =
+            if pos >= to_pos then List.rev acc
+            else begin
+              let upper = min to_pos (pos + retrans_batch) in
+              let actions =
+                List.init (upper - pos) (fun i ->
+                    Action_queue.nth_green t.queue (pos + 1 + i))
+              in
+              batches upper
+                (Retrans_green { g_from = pos; g_actions = actions } :: acc)
+            end
+          in
+          batches from_pos []
+        end
+        else [])
+      knowledge.Knowledge.k_green_plan
+  in
+  let duties =
+    Knowledge.red_duties ~self:t.node ~knowledge ~states:t.states
+  in
+  let red_actions =
+    List.concat_map
+      (fun (creator, low, high) ->
+        List.filter_map
+          (fun index ->
+            match
+              Action_queue.find t.queue { Action.Id.server = creator; index }
+            with
+            | Some a when not (Action_queue.is_green t.queue a.Action.id) ->
+              Some a
+            | Some _ | None -> None
+              (* green bodies travel via the green plan *))
+          (List.init (high - low) (fun i -> low + 1 + i)))
+      duties
+  in
+  let rec red_batches = function
+    | [] -> []
+    | actions ->
+      let batch = List.filteri (fun i _ -> i < retrans_batch) actions in
+      let rest =
+        List.filteri (fun i _ -> i >= retrans_batch) actions
+      in
+      Retrans_red batch :: red_batches rest
+  in
+  send_paced t (green_batches @ red_batches red_actions)
+
 let rec shift_to_exchange_states t =
   t.states <- Node_id.Map.empty;
   t.knowledge <- None;
@@ -597,63 +682,15 @@ and check_all_states t =
     then begin
       let knowledge = Knowledge.compute ~members:view.Endpoint.members t.states in
       t.knowledge <- Some knowledge;
-      (* Retransmit my share: green segments of the plan, then red duties
-         ("if most updated server: Retrans()").  Batched and paced: a
-         long-partitioned member may need thousands of actions, and an
-         unthrottled burst would clog receivers' CPUs long enough to trip
-         their failure detectors (a livelock a real engine avoids with
-         flow-controlled state transfer). *)
-      let green_batches =
-        List.concat_map
-          (fun (source, from_pos, to_pos) ->
-            if Node_id.equal source t.node then begin
-              let rec batches pos acc =
-                if pos >= to_pos then List.rev acc
-                else begin
-                  let upper = min to_pos (pos + retrans_batch) in
-                  let actions =
-                    List.init (upper - pos) (fun i ->
-                        Action_queue.nth_green t.queue (pos + 1 + i))
-                  in
-                  batches upper
-                    (Retrans_green { g_from = pos; g_actions = actions } :: acc)
-                end
-              in
-              batches from_pos []
-            end
-            else [])
-          knowledge.Knowledge.k_green_plan
-      in
-      let duties =
-        Knowledge.red_duties ~self:t.node ~knowledge ~states:t.states
-      in
-      let red_actions =
-        List.concat_map
-          (fun (creator, low, high) ->
-            List.filter_map
-              (fun index ->
-                match
-                  Action_queue.find t.queue { Action.Id.server = creator; index }
-                with
-                | Some a when not (Action_queue.is_green t.queue a.Action.id) ->
-                  Some a
-                | Some _ | None -> None
-                  (* green bodies travel via the green plan *))
-              (List.init (high - low) (fun i -> low + 1 + i)))
-          duties
-      in
-      let rec red_batches = function
-        | [] -> []
-        | actions ->
-          let batch = List.filteri (fun i _ -> i < retrans_batch) actions in
-          let rest =
-            List.filteri (fun i _ -> i >= retrans_batch) actions
-          in
-          Retrans_red batch :: red_batches rest
-      in
-      send_paced t (green_batches @ red_batches red_actions);
-      set_state t Exchange_actions;
-      check_end_of_retrans t
+      if
+        Knowledge.green_reachable knowledge
+          ~green_count:(Action_queue.green_count t.queue)
+      then begin
+        retransmit_share t knowledge;
+        set_state t Exchange_actions;
+        check_end_of_retrans t
+      end
+      else catch_up t
     end
 
 and check_end_of_retrans t =
@@ -673,16 +710,7 @@ and end_of_retrans t knowledge =
   | Some view ->
     (* Incorporate the exchanged green lines. *)
     Node_id.Map.iter
-      (fun m sm ->
-        let current =
-          match Hashtbl.find_opt t.green_counts m with Some c -> c | None -> 0
-        in
-        if sm.sm_green_count > current then begin
-          Hashtbl.replace t.green_counts m sm.sm_green_count;
-          match sm.sm_green_line with
-          | Some id -> Hashtbl.replace t.green_lines m id
-          | None -> ()
-        end)
+      (fun m sm -> raise_green_count t m sm.sm_green_count)
       t.states;
     (* Adopt the computed knowledge. *)
     t.prim <- knowledge.Knowledge.k_prim;
@@ -758,13 +786,8 @@ and on_cpc t server conf_id ~in_regular =
         (* Everyone synchronised during the exchange: after install all
            members share this green line (A.9). *)
         let my_count = Action_queue.green_count t.queue in
-        let my_line = Action_queue.green_line t.queue in
         Node_id.Set.iter
-          (fun s ->
-            Hashtbl.replace t.green_counts s my_count;
-            match my_line with
-            | Some id -> Hashtbl.replace t.green_lines s id
-            | None -> ())
+          (fun s -> Hashtbl.replace t.green_counts s my_count)
           view.Endpoint.members;
         install t;
         set_state t Reg_prim;
@@ -795,9 +818,15 @@ let on_action t (a : Action.t) ~in_regular =
   | Reg_prim ->
     assert in_regular;
     mark_green t a;
+    (* OR-1.1: the creator's stamped line is green at it (durably so:
+       it stamps its last checkpoint), which may advance the white
+       line.  A stamp below our floor is already below the white line. *)
     (match a.green_line with
-    | Some gl -> Hashtbl.replace t.green_lines a.id.server gl
-    | None -> ()) (* OR-1.1 *)
+    | Some gl -> (
+      match Action_queue.position t.queue gl with
+      | Some pos -> raise_green_count t a.id.server pos
+      | None -> ())
+    | None -> ())
   | Trans_prim -> mark_yellow t a
   | Un_state ->
     (* 1b: someone installed the primary and generated this action before
@@ -922,7 +951,7 @@ let make_blank ?(weights = Quorum.no_weights)
     red_cut = Hashtbl.create 16;
     green_cut = Hashtbl.create 16;
     green_counts = Hashtbl.create 16;
-    green_lines = Hashtbl.create 16;
+    ckpt_line = None;
     pending_red = Hashtbl.create 16;
     pending_green = [];
     ongoing = [];
@@ -961,8 +990,8 @@ let create ?weights ?quorum_policy ?submit_delay ~sim ~node ~servers ~persist
 
 let stats t = t.stats
 
-let create_from_snapshot ?weights ?(action_floor = 0) ?submit_delay ~sim ~node
-    ~servers ~snapshot ~green_count ~green_line ~red_cut ~prim ~dedup ~persist
+let create_from_snapshot ?weights ?(action_floor = 0) ?(carry = [])
+    ?submit_delay ~sim ~node ~servers ~snapshot ~green_count ~green_line ~red_cut ~prim ~dedup ~persist
     ~callbacks () =
   let t =
     make_blank ?weights ?submit_delay ~sim ~node ~servers ~persist ~callbacks ()
@@ -971,19 +1000,25 @@ let create_from_snapshot ?weights ?(action_floor = 0) ?submit_delay ~sim ~node
      used: start counting from the sponsor's red cut for this node, or
      from the floor recovered from still-readable log records when that
      is higher.  In the latter case the ids between the two are known
-     only to the dead incarnation; since per-creator delivery is
-     gap-free, they are re-proposed as no-op fillers (bodies lost) so
-     peers can advance past them. *)
+     only to the previous engine; since per-creator delivery is
+     gap-free, they are re-proposed — the [carry]-ed bodies verbatim,
+     the others as no-op fillers (bodies lost) so peers can advance past
+     them. *)
   let own_cut =
     match Node_id.Map.find_opt node red_cut with Some c -> c | None -> 0
   in
   t.action_index <- max action_floor own_cut;
   for index = own_cut + 1 to action_floor do
-    let filler =
-      Action.make ~client:0 ~size:32 ~server:node ~index (Action.Update [])
+    let a =
+      match
+        List.find_opt (fun (a : Action.t) -> a.id.index = index) carry
+      with
+      | Some a -> a
+      | None ->
+        Action.make ~client:0 ~size:32 ~server:node ~index (Action.Update [])
     in
-    Persist.log_ongoing t.persist filler;
-    t.ongoing <- t.ongoing @ [ filler ]
+    Persist.log_ongoing t.persist a;
+    t.ongoing <- t.ongoing @ [ a ]
   done;
   Action_queue.set_join_floor t.queue ~count:green_count ~line:green_line;
   Node_id.Map.iter
@@ -993,9 +1028,7 @@ let create_from_snapshot ?weights ?(action_floor = 0) ?submit_delay ~sim ~node
     red_cut;
   t.prim <- prim;
   Hashtbl.replace t.green_counts node green_count;
-  (match green_line with
-  | Some id -> Hashtbl.replace t.green_lines node id
-  | None -> ());
+  t.ckpt_line <- green_line;
   (* The transferred state is this replica's first checkpoint: crash
      recovery restores it from disk rather than replaying actions it
      never held. *)
@@ -1035,9 +1068,7 @@ let recover ?weights ?quorum_policy ?submit_delay ?recovered ~sim ~node
     Action_queue.set_join_floor t.queue ~count:c.Persist.c_green_count
       ~line:c.Persist.c_green_line;
     Hashtbl.replace t.green_counts node c.Persist.c_green_count;
-    (match c.Persist.c_green_line with
-    | Some id -> Hashtbl.replace t.green_lines node id
-    | None -> ());
+    t.ckpt_line <- c.Persist.c_green_line;
     Node_id.Map.iter
       (fun s cut -> Hashtbl.replace t.green_cut s cut)
       c.Persist.c_green_cut
@@ -1071,15 +1102,17 @@ let recover ?weights ?quorum_policy ?submit_delay ?recovered ~sim ~node
    at the current green position; the log is then compacted and white
    action bodies (green everywhere) are dropped from memory. *)
 let checkpoint t ~dedup snapshot =
+  let line = Action_queue.green_line t.queue in
   Persist.log_checkpoint t.persist
     {
       Persist.c_snapshot = snapshot;
       c_green_count = Action_queue.green_count t.queue;
-      c_green_line = Action_queue.green_line t.queue;
+      c_green_line = line;
       c_green_cut = green_cut_map t;
       c_meta = meta_of t;
       c_dedup = dedup;
     };
   sync_then t (fun () ->
+      t.ckpt_line <- line;
       Persist.compact t.persist;
       ignore (Action_queue.discard_below t.queue (white_line t)))

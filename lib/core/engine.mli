@@ -27,6 +27,11 @@ type callbacks = {
           the representative and must snapshot and transfer state *)
   on_self_leave : unit -> unit;
       (** this server's [Leave] turned green: it exits the system *)
+  on_catch_up : sponsors:Node_id.t list -> unit;
+      (** a state exchange found green positions this server needs below
+          every member's floor (discarded as white everywhere): the
+          engine has halted, and the server must re-enter by snapshot
+          from [sponsors], the other members furthest ahead first *)
   on_state_change : Types.engine_state -> unit;
   send : service:Endpoint.service -> size:int -> Types.payload -> unit;
       (** multicast through the group communication layer *)
@@ -92,6 +97,7 @@ val create :
 val create_from_snapshot :
   ?weights:Quorum.weights ->
   ?action_floor:int ->
+  ?carry:Action.t list ->
   ?submit_delay:Repro_sim.Time.t ->
   sim:Repro_sim.Engine.t ->
   node:Node_id.t ->
@@ -113,7 +119,9 @@ val create_from_snapshot :
     exactly-once window at the same green position — included).
     [action_floor] seeds the action-index counter: an amnesiac rejoiner
     passes the sponsor's red cut for it, so ids of its discarded life
-    are never re-minted. *)
+    are never re-minted.  Own ids above the snapshot's cut up to the
+    floor are re-proposed, from [carry] (own bodies that survived, by
+    index) where present and as no-op fillers otherwise. *)
 
 val recover :
   ?weights:Quorum.weights ->

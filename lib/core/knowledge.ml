@@ -110,10 +110,14 @@ let invalidate_vulnerable ~members vuln_of k_prim =
 (* Green retransmission plan: cover positions (from, target] with a
    chain of sources.  A source can serve positions in (its floor, its
    green count]; prefer, at each point, the source reaching furthest
-   (lowest id among equals).  Replicas that joined by snapshot have a
-   non-zero floor, hence possibly a multi-source chain.  Each chain
-   step strictly advances the covered position and scans the members
-   once; chains are one or two steps outside snapshot-join scenarios. *)
+   (lowest id among equals).  Replicas that joined by snapshot, or
+   discarded white bodies at a checkpoint, have a non-zero floor, hence
+   possibly a multi-source chain.  Where no source goes low enough the
+   chain skips to the lowest floor above the gap: members at or above
+   that floor are still served, and members inside the gap catch up by
+   snapshot instead (see [green_reachable]).  Each chain step strictly
+   advances the covered position and scans the members once; chains are
+   one or two steps outside snapshot-join scenarios. *)
 let green_plan ~from ~target all =
   let rec plan pos acc =
     if pos >= target then List.rev acc
@@ -135,9 +139,23 @@ let green_plan ~from ~target all =
           None all
       in
       match best with
-      | None -> List.rev acc (* uncoverable gap: partial plan *)
       | Some sm ->
         plan sm.sm_green_count ((sm.sm_server, pos, sm.sm_green_count) :: acc)
+      | None -> (
+        (* Uncoverable gap above [pos]: resume at the lowest floor that
+           still has bodies above it. *)
+        let resume =
+          Array.fold_left
+            (fun lowest sm ->
+              if sm.sm_green_floor > pos && sm.sm_green_count > sm.sm_green_floor
+              then
+                match lowest with
+                | Some f when f <= sm.sm_green_floor -> lowest
+                | Some _ | None -> Some sm.sm_green_floor
+              else lowest)
+            None all
+        in
+        match resume with Some f -> plan f acc | None -> List.rev acc)
     end
   in
   plan from []
@@ -247,6 +265,14 @@ let red_duties ~self ~knowledge ~states =
         | _ -> acc
       end)
     knowledge.k_red_targets []
+
+let green_reachable knowledge ~green_count =
+  let reached =
+    List.fold_left
+      (fun pos (_, from, upto) -> if from <= pos && upto > pos then upto else pos)
+      green_count knowledge.k_green_plan
+  in
+  reached >= knowledge.k_green_target
 
 let exchange_finished ~green_count ~red_cut knowledge =
   green_count >= knowledge.k_green_target

@@ -21,9 +21,11 @@ type t = {
       (** chain of green retransmission duties [(source, from_exclusive,
           to_inclusive)] covering positions (min green, max green]: at
           each point the source reaching furthest whose stored bodies go
-          low enough (green floor), lowest id among equals.  May end
-          short of the target if no member holds the bodies (the gap
-          then requires a state transfer). *)
+          low enough (green floor), lowest id among equals.  Where no
+          member holds the bodies of some positions, the chain skips
+          to the lowest floor above the gap: members whose green count
+          lies inside the gap cannot be served (see
+          {!green_reachable}). *)
   k_green_from : int;  (** min green count among members *)
   k_red_targets : int Node_id.Map.t;
       (** per creator: max red-cut among members *)
@@ -42,6 +44,12 @@ val red_duties :
     that [self] must retransmit as red: for each creator, the member with
     the maximal red cut (lowest id among equals) covers the span from the
     minimal red cut to the maximal. *)
+
+val green_reachable : t -> green_count:int -> bool
+(** Whether the green plan can bring a member at [green_count] up to
+    the target.  [false] means some position it needs lies below every
+    source's floor: the bodies were discarded as white, so the member
+    must catch up by snapshot (state transfer) instead. *)
 
 val exchange_finished :
   green_count:int -> red_cut:(Node_id.t -> int) -> t -> bool

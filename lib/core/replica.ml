@@ -136,10 +136,14 @@ type t = {
       (* bumped on crash: volatile state was lost, so observers must not
          hold this replica to monotonicity across the boundary *)
   mutable last_recovery : Persist.verdict option;
+      (* what the most recent recovery from stable storage decided *)
   mutable amnesia_floor : int;
       (* highest own action index readable in the discarded log of an
-         amnesiac recovery; seeds the next incarnation's id counter *)
-      (* what the most recent recovery from stable storage decided *)
+         amnesiac recovery, or held by an engine dropped to catch up;
+         seeds the next incarnation's id counter *)
+  mutable carry : Action.t list;
+      (* own bodies of an engine dropped to catch up by snapshot, to be
+         re-proposed by the next one *)
 }
 
 let node t = t.node_id
@@ -352,6 +356,69 @@ let on_transfer_request t ~joiner ~join_green_count:_ =
     do_transfer t ~joiner
   end
 
+let rec joiner_request_loop t sponsors_left all_sponsors retry =
+  if t.up && t.joiner_waiting && t.engine = None then begin
+    let sponsor, rest =
+      match sponsors_left with
+      | s :: rest -> (s, rest)
+      | [] -> (
+        match all_sponsors with
+        | s :: rest -> (s, rest)
+        | [] -> invalid_arg "Replica.create_joiner: no sponsors")
+    in
+    Network.unicast t.cluster.c_transfer ~src:t.node_id ~dst:sponsor ~size:64
+      (Treq { tr_joiner = t.node_id; tr_resume = t.incoming });
+    ignore
+      (Sim.Engine.schedule t.cluster.c_sim ~delay:retry (fun () ->
+           joiner_request_loop t rest all_sponsors retry))
+  end
+
+(* The sponsors an amnesiac or catching-up replica asks for a snapshot,
+   and how often it retries. *)
+let rejoin_sponsors t =
+  match t.role with
+  | Joiner { sponsors; retry } -> (sponsors, retry)
+  | Static ->
+    ( Node_id.Set.elements (Node_id.Set.remove t.node_id t.servers),
+      Sim.Time.of_ms 500. )
+
+(* The engine found green positions it needs discarded as white at every
+   member.  Drop the volatile state — as a crash would, but keeping the
+   disk and the network — and re-enter by snapshot like an amnesiac
+   rejoiner, asking the members furthest ahead first.  Own actions the
+   group may not hold yet are carried into the next engine, which
+   re-proposes them.  The incarnation is bumped: the next engine's
+   counters start over from the snapshot. *)
+let catch_up t e ~sponsors =
+  Log.info (fun m -> m "n%d: catching up by state transfer" t.node_id);
+  let own =
+    List.filter
+      (fun (a : Action.t) -> Node_id.equal a.id.server t.node_id)
+      (Engine.red_actions e @ Engine.ongoing_actions e)
+  in
+  t.carry <- own;
+  t.amnesia_floor <-
+    List.fold_left
+      (fun acc (a : Action.t) -> max acc a.id.index)
+      (max t.amnesia_floor (Engine.red_cut e t.node_id))
+      own;
+  (* Leave the view once the endpoint has finished the delivery this
+     call runs inside; the engine is gone, so the rest is ignored. *)
+  ignore
+    (Sim.Engine.schedule t.cluster.c_sim ~delay:Sim.Time.zero (fun () ->
+         match t.endpoint with Some ep -> Endpoint.crash ep | None -> ()));
+  Hashtbl.reset t.pending;
+  t.query_waiters <- [];
+  Hashtbl.reset t.transfer_sessions;
+  t.dirty_cache <- None;
+  t.engine <- None;
+  t.incarnation <- t.incarnation + 1;
+  t.incoming <- None;
+  t.joiner_waiting <- true;
+  let fallback, retry = rejoin_sponsors t in
+  let sponsors = if sponsors = [] then fallback else sponsors in
+  joiner_request_loop t sponsors sponsors retry
+
 let make_callbacks t =
   {
     Engine.on_green = (fun actions -> apply_green_batch t actions);
@@ -369,6 +436,9 @@ let make_callbacks t =
       (fun () ->
         t.left <- true;
         match t.endpoint with Some ep -> Endpoint.crash ep | None -> ());
+    on_catch_up =
+      (fun ~sponsors ->
+        match t.engine with Some e -> catch_up t e ~sponsors | None -> ());
     on_state_change = (fun _ -> ());
     send =
       (fun ~service ~size payload ->
@@ -449,6 +519,7 @@ let on_transfer_msg t ~src msg =
               Engine.create_from_snapshot ~weights:t.weights
                 ?submit_delay:t.submit_delay
                 ~action_floor:(max p.td_joiner_floor t.amnesia_floor)
+                ~carry:t.carry
                 ~sim:t.cluster.c_sim
                 ~node:t.node_id ~servers:p.td_servers
                 ~snapshot:p.td_snapshot
@@ -458,6 +529,7 @@ let on_transfer_msg t ~src msg =
                 ~callbacks:(make_callbacks t) ()
             in
             t.amnesia_floor <- 0;
+            t.carry <- [];
             adopt_engine t e;
             let ep =
               match t.endpoint with Some ep -> ep | None -> make_endpoint t
@@ -530,6 +602,7 @@ let base ?(disk_config = Disk.default_forced) ?(attach_cpu = true)
       incarnation = 0;
       last_recovery = None;
       amnesia_floor = 0;
+      carry = [];
     }
   in
   Network.register cluster.c_transfer node ~handler:(fun ~src msg ->
@@ -563,23 +636,6 @@ let create_joiner ?disk_config ?attach_cpu ?checkpoint_every ?submit_delay
     ?admission ~cluster ~node ~servers:Node_id.Set.empty
     ~role:(Joiner { sponsors; retry = retry_interval })
     ()
-
-let rec joiner_request_loop t sponsors_left all_sponsors retry =
-  if t.up && t.joiner_waiting && t.engine = None then begin
-    let sponsor, rest =
-      match sponsors_left with
-      | s :: rest -> (s, rest)
-      | [] -> (
-        match all_sponsors with
-        | s :: rest -> (s, rest)
-        | [] -> invalid_arg "Replica.create_joiner: no sponsors")
-    in
-    Network.unicast t.cluster.c_transfer ~src:t.node_id ~dst:sponsor ~size:64
-      (Treq { tr_joiner = t.node_id; tr_resume = t.incoming });
-    ignore
-      (Sim.Engine.schedule t.cluster.c_sim ~delay:retry (fun () ->
-           joiner_request_loop t rest all_sponsors retry))
-  end
 
 let start t =
   if not t.started then begin
@@ -688,6 +744,7 @@ let crash t =
     t.db <- Database.create ();
     t.dedup <- Dedup.create ~window:t.dedup_window ();
     t.dirty_cache <- None;
+    t.carry <- [];
     t.engine <- None
   end
 
@@ -704,13 +761,7 @@ let amnesiac_rejoin t =
       m "n%d: log unsalvageable, rejoining by state transfer" t.node_id);
   t.incarnation <- t.incarnation + 1;
   t.incoming <- None;
-  let sponsors, retry =
-    match t.role with
-    | Joiner { sponsors; retry } -> (sponsors, retry)
-    | Static ->
-      ( Node_id.Set.elements (Node_id.Set.remove t.node_id t.servers),
-        Sim.Time.of_ms 500. )
-  in
+  let sponsors, retry = rejoin_sponsors t in
   if sponsors = [] then
     (* Nobody to transfer from: a lone replica with a destroyed log is
        unrecoverable; it stays down rather than invent an empty state. *)

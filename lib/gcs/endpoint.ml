@@ -73,7 +73,8 @@ type 'p conf_state = {
   mutable next_seq : int;
   mutable pending_order : (Node_id.t * int) list; (* reversed *)
   mutable order_armed : bool;
-  mutable ack_armed : bool;
+  mutable ack_timer : Engine.timer option; (* the armed cumulative-ack timer *)
+  mutable ack_fast : bool; (* it was armed at [ack_delay], not housekeeping *)
 }
 
 type gather_state = {
@@ -128,11 +129,13 @@ type 'p t = {
   mutable last_probe : Time.t;
   mutable installed_count : int;
   mutable periodic_started : bool;
+  mutable acks_sent : int; (* standalone Ack multicasts (statistics) *)
 }
 
 let node t = t.node
 let params t = t.prm
 let installed_count t = t.installed_count
+let acks_sent t = t.acks_sent
 
 let current_view t =
   match (t.status, t.conf) with
@@ -226,7 +229,8 @@ let new_conf_state view =
     next_seq = 0;
     pending_order = [];
     order_armed = false;
-    ack_armed = false;
+    ack_timer = None;
+    ack_fast = false;
   }
 
 let i_am_coord t cs = Node_id.equal t.node cs.coord
@@ -278,21 +282,72 @@ let try_deliver t cs =
 
 (* Messages below the safe line are held by every member (safe = everyone
    acked contiguous receipt), so they can never be needed for
-   retransmission: evict them in chunks to bound memory. *)
-let evict t cs =
-  ignore t;
+   retransmission: evict each once it is both safe and delivered here. *)
+let evict cs =
   let limit = min cs.safe_upto cs.delivered_upto in
-  if limit - cs.evicted_below > 4096 then begin
-    for s = cs.evicted_below + 1 to limit do
-      Hashtbl.remove cs.store s
-    done;
-    cs.evicted_below <- limit
-  end
+  for s = cs.evicted_below + 1 to limit do
+    Hashtbl.remove cs.store s
+  done;
+  if limit > cs.evicted_below then cs.evicted_below <- limit
   (* The for-loop bound is dynamic but every evicted sequence number was
      a stored message: amortized one removal per message ever stored. *)
   [@@analysis.cost "O(queue); alloc O(1)"]
 
-let rec note_have_advanced t cs =
+(* The cumulative ack is self-clocked.  A fast ack (at [ack_delay]) goes
+   out only when it carries news — receipt progress past our last ack
+   while safe-service messages wait for stability — and our previous
+   ack has already been absorbed into the safe line.  Otherwise a slow
+   housekeeping timer (loss recovery, eviction) is all that is armed:
+   re-announcing receipt that peers have not yet matched advances
+   nobody, and a fast timer there is a multicast busy-wait that, under
+   a CPU model, congests every receive queue so the stability it polls
+   for recedes.  Tying each ack to the absorption of the previous one
+   makes the ack rate follow the rate stability actually advances at:
+   one ack per stability round, and rounds lengthen as receive queues
+   fill, down to the housekeeping cadence when CPUs saturate.
+
+   [housekeeping] arms the slow timer when nothing is armed and no fast
+   ack is due; without it only a due fast ack is armed (or replaces an
+   armed slow timer, which is cancelled). *)
+let rec arm_ack t cs ~housekeeping =
+  let fast =
+    cs.max_safe_seq > cs.safe_upto
+    && cs.have_upto > cs.last_acked
+    && cs.safe_upto >= cs.last_acked
+  in
+  match cs.ack_timer with
+  | Some timer ->
+    if fast && not cs.ack_fast then begin
+      Engine.cancel timer;
+      schedule_ack t cs ~fast
+    end
+  | None -> if fast || housekeeping then schedule_ack t cs ~fast
+  (* Mutually recursive with [schedule_ack] only through the timer (a
+     later event, not this activation); the timer's multicast addresses
+     the view's members. *)
+  [@@analysis.cost "O(members); alloc O(members)"]
+
+and schedule_ack t cs ~fast =
+  let delay =
+    if fast then t.prm.ack_delay else Time.scale t.prm.ack_delay 25.
+  in
+  let era = t.era in
+  cs.ack_fast <- fast;
+  cs.ack_timer <-
+    Some
+      (Engine.schedule t.engine ~delay (fun () ->
+           if era = t.era then begin
+             cs.ack_timer <- None;
+             cs.last_acked <- cs.have_upto;
+             t.acks_sent <- t.acks_sent + 1;
+             multicast_set t ~dsts:cs.cview.members
+               (Ack { a_conf = cs.cview.id; a_upto = cs.have_upto });
+             (* Keep the cadence while safety progress is pending. *)
+             arm_ack t cs ~housekeeping:(cs.max_safe_seq > cs.safe_upto)
+           end))
+  [@@analysis.cost "O(members); alloc O(members)"]
+
+let note_have_advanced t cs =
   let rec advance () =
     if Hashtbl.mem cs.store (cs.have_upto + 1) then begin
       cs.have_upto <- cs.have_upto + 1;
@@ -304,38 +359,10 @@ let rec note_have_advanced t cs =
   Hashtbl.replace cs.acks t.node cs.have_upto;
   recompute_safe cs;
   try_deliver t cs;
-  evict t cs;
-  if not cs.ack_armed then begin
-    cs.ack_armed <- true;
-    (* Acknowledge promptly when our cumulative ack carries NEWS —
-       receipt progress peers have not been told about while
-       safe-service messages wait for stability.  When we are merely
-       waiting on other members' acks, re-announcing the same
-       [have_upto] advances nobody: fall back to a slow housekeeping
-       cadence (loss recovery and eviction).  A fast timer here is a
-       multicast busy-wait — under a CPU model it congests every
-       receive queue and the stability it polls for recedes, a
-       self-sustaining collapse no admission control above can stop. *)
-    let delay =
-      if cs.max_safe_seq > cs.safe_upto && cs.have_upto > cs.last_acked then
-        t.prm.ack_delay
-      else Time.scale t.prm.ack_delay 25.
-    in
-    let era = t.era in
-    ignore
-      (Engine.schedule t.engine ~delay (fun () ->
-           if era = t.era then begin
-             cs.ack_armed <- false;
-             cs.last_acked <- cs.have_upto;
-             multicast_set t ~dsts:cs.cview.members
-               (Ack { a_conf = cs.cview.id; a_upto = cs.have_upto });
-             (* Re-arm if safety progress is still pending. *)
-             if cs.max_safe_seq > cs.safe_upto then note_have_advanced t cs
-           end))
-  end
-  (* Self-recursive only through the re-armed ack timer (a later event,
-     not this activation); the inline [advance] walks the contiguous
-     receipt run, one store lookup per received message. *)
+  evict cs;
+  arm_ack t cs ~housekeeping:true
+  (* The inline [advance] walks the contiguous receipt run, one store
+     lookup per received message. *)
   [@@analysis.cost "O(members+queue); alloc O(members+queue)"]
 
 let store_message t cs ~seq (d : 'p data) =
@@ -418,7 +445,9 @@ let handle_ack t cs ~from ~upto =
     Hashtbl.replace cs.acks from upto;
     recompute_safe cs;
     try_deliver t cs;
-    evict t cs
+    evict cs;
+    (* The safe line may now have absorbed our own last ack. *)
+    arm_ack t cs ~housekeeping:false
   end
   [@@analysis.hotpath "O(members+queue)"]
 
@@ -943,6 +972,7 @@ let create ?(on_burst_start = fun () -> ()) ?(on_burst_end = fun () -> ())
       last_probe = Time.zero;
       installed_count = 0;
       periodic_started = false;
+      acks_sent = 0;
     }
   in
   Network.register network node ~handler:(fun ~src msg -> handle_wire t ~src msg);

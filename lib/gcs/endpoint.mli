@@ -108,6 +108,10 @@ val recover : 'p t -> unit
 val installed_count : 'p t -> int
 (** Number of regular configurations installed (statistics). *)
 
+val acks_sent : 'p t -> int
+(** Standalone cumulative [Ack] multicasts sent by this endpoint since
+    creation (statistics). *)
+
 val store_stats : 'p t -> (int * int) option
 (** [(messages retained, highest evicted sequence)] of the current
     configuration's message store — observability for memory-bound

@@ -129,6 +129,7 @@ let callbacks t node_id =
     on_red = (fun _ -> ());
     on_transfer_request = (fun ~joiner:_ ~join_green_count:_ -> ());
     on_self_leave = (fun () -> ());
+    on_catch_up = (fun ~sponsors:_ -> ());
     on_state_change = (fun _ -> ());
     send =
       (fun ~service:_ ~size:_ payload ->

@@ -23,10 +23,15 @@ let value_t = Alcotest.testable Value.pp Value.equal
    must fail over, be deduplicated if the old target already executed
    it, and the stream must continue FIFO; the crashed replica later
    recovers and rejoins.  Client id 1 starts on replica index 0, so the
-   crash provably hits the session's own target. *)
+   crash provably hits the session's own target.  The crash is timed by
+   the stream itself — right after write [crash_at] is submitted — not
+   by the clock: requests take well under a millisecond, so a fixed
+   instant could fall after the stream has ended. *)
 let test_failover_fifo_read_your_writes () =
-  let total = 20 in
+  let total = 20 and crash_at = 5 in
   let w = World.make ~disk_config:quiet_disk ~seed:11 ~n:5 () in
+  let sim = World.sim w in
+  let victim = World.replica w 0 in
   let monitor = World.attach_monitor w in
   World.run w ~ms:1000.;
   let c =
@@ -36,7 +41,7 @@ let test_failover_fifo_read_your_writes () =
   in
   let reads_seen = ref [] in
   let rec step i =
-    if i <= total then
+    if i <= total then begin
       Client.exec c
         (Action.Update [ Op.Set ("stream", Value.Int i); Op.Add ("cc1", 1) ])
         ~k:(fun _ ->
@@ -51,17 +56,21 @@ let test_failover_fifo_read_your_writes () =
                   Alcotest.failf "read-your-writes violated: wrote %d, read %d"
                     i v
               | _ -> Alcotest.failf "stream key missing after write %d" i);
-              step (i + 1)))
+              step (i + 1)));
+      (* Crash the session's target with write [crash_at] in flight (the
+         next event: the submit runs inside the target's own apply), and
+         rejoin it later. *)
+      if i = crash_at then begin
+        ignore
+          (Sim.Engine.schedule sim ~delay:Sim.Time.zero (fun () ->
+               Replica.crash victim));
+        ignore
+          (Sim.Engine.schedule sim ~delay:(Sim.Time.of_ms 2000.) (fun () ->
+               Replica.recover victim))
+      end
+    end
   in
   step 1;
-  (* Crash the session's target mid-stream, rejoin it later. *)
-  let victim = World.replica w 0 in
-  ignore
-    (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 80.) (fun () ->
-         Replica.crash victim));
-  ignore
-    (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 2000.) (fun () ->
-         Replica.recover victim));
   World.run w ~ms:30_000.;
   World.heal_and_settle w;
   (* Each step is two requests: the write and the read-back. *)
@@ -180,7 +189,9 @@ let test_dedup_cache_bounded () =
    suite never witnesses the response-replay branch at all.  Pinned
    seeds keep this deterministic. *)
 let test_duplicate_answered_from_cache () =
+  let total = 30 and crash_after = 5 in
   let w = World.make ~disk_config:quiet_disk ~seed:42 ~n:5 () in
+  let sim = World.sim w in
   World.run w ~ms:1000.;
   let c =
     Client.create
@@ -190,22 +201,28 @@ let test_duplicate_answered_from_cache () =
       ~replicas:(fun () -> World.replicas w)
       ()
   in
+  (* Crash the target with a request ordered but not yet answered: the
+     timed-out attempt is re-sent elsewhere while the total order
+     already carries the original — the duplicate must be answered, not
+     re-applied.  The request after ack [crash_after] is submitted at
+     once; 1.2 ms later its forced write (1 ms) is done, it is
+     multicast and ordered, and stability has not yet answered it. *)
   let rec pump n =
     if n > 0 then
       Client.exec c
         (Action.Update [ Op.Add ("cc1", 1) ])
-        ~k:(fun _ -> pump (n - 1))
+        ~k:(fun _ ->
+          if Client.acked c = crash_after then begin
+            ignore
+              (Sim.Engine.schedule sim ~delay:(Sim.Time.of_us 1200)
+                 (fun () -> Replica.crash (World.replica w 0)));
+            ignore
+              (Sim.Engine.schedule sim ~delay:(Sim.Time.of_ms 2000.)
+                 (fun () -> Replica.recover (World.replica w 0)))
+          end;
+          pump (n - 1))
   in
-  pump 30;
-  (* Crash the target with requests in flight: the timed-out attempts
-     are re-sent elsewhere while the total order may already carry the
-     original — the duplicate must be answered, not re-applied. *)
-  ignore
-    (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 100.) (fun () ->
-         Replica.crash (World.replica w 0)));
-  ignore
-    (Sim.Engine.schedule (World.sim w) ~delay:(Sim.Time.of_ms 2000.) (fun () ->
-         Replica.recover (World.replica w 0)));
+  pump total;
   World.run w ~ms:20_000.;
   World.heal_and_settle w;
   let dupes =

@@ -480,6 +480,130 @@ let test_gc_respects_laggards () =
   Alcotest.(check int) "all actions reached the laggard" 40
     (Repro_core.Engine.green_count (Replica.engine (rep w 2)))
 
+let green_floor r =
+  let e = Replica.engine r in
+  Repro_core.Engine.green_count e
+  - List.length (Repro_core.Engine.green_actions e)
+
+(* Steady-state white-action GC: every creator stamps the green line of
+   its last durable checkpoint on the actions it creates, and delivering
+   those stamps in the regular primary raises the white line — no view
+   change needed.  The next checkpoint then drops the white bodies. *)
+let test_white_line_advances_without_view_change () =
+  let w = make_world ~seed:33 3 in
+  start_all w;
+  run_sim w ~ms:800.;
+  let exchanges () =
+    List.fold_left
+      (fun acc r -> acc + (Repro_core.Engine.stats (Replica.engine r)).s_exchanges)
+      0 (all_replicas w)
+  in
+  let round base =
+    for i = 1 to 30 do
+      set_kv' (rep w (i mod 3)) (Printf.sprintf "k%d" (base + i)) i
+    done;
+    run_sim w ~ms:500.
+  in
+  round 0;
+  let white0 = Repro_core.Engine.white_line (Replica.engine (rep w 0)) in
+  let exchanges0 = exchanges () in
+  List.iter Replica.checkpoint_now (all_replicas w);
+  run_sim w ~ms:50.;
+  round 30;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "n%d in the regular primary" (Replica.node r))
+        true
+        (Replica.state r = Types.Reg_prim))
+    (all_replicas w);
+  Alcotest.(check int) "no view change" exchanges0 (exchanges ());
+  let white = Repro_core.Engine.white_line (Replica.engine (rep w 0)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "white line %d -> %d: the checkpointed 30 are white"
+       white0 white)
+    true
+    (white0 < 30 && white >= 30);
+  (* The next checkpoint discards the white bodies ... *)
+  List.iter Replica.checkpoint_now (all_replicas w);
+  run_sim w ~ms:50.;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "n%d floor at the white line" (Replica.node r))
+        true
+        (green_floor r >= 30))
+    (all_replicas w);
+  (* ... and the order goes on above the floor. *)
+  round 60;
+  List.iter
+    (fun r ->
+      Alcotest.(check int)
+        (Printf.sprintf "n%d green count" (Replica.node r))
+        90
+        (Repro_core.Engine.green_count (Replica.engine r)))
+    (all_replicas w);
+  check_green_prefix_consistent "after discard" (rep w 0) (rep w 1);
+  check_db_equal "after discard" (rep w 0) (rep w 2)
+
+(* A replica whose salvaged log sets it back below positions every peer
+   has discarded as white cannot be served by retransmission: it must
+   re-enter by snapshot and converge. *)
+let test_behind_every_floor_catches_up_by_snapshot () =
+  let w = make_world ~seed:35 3 in
+  start_all w;
+  run_sim w ~ms:800.;
+  for i = 1 to 30 do
+    set_kv' (rep w (i mod 3)) (Printf.sprintf "k%d" i) i
+  done;
+  run_sim w ~ms:500.;
+  (* A view change with all three present records everyone's green count
+     (30) at everyone. *)
+  Topology.partition (topo w) [ [ 0; 1 ]; [ 2 ] ];
+  run_sim w ~ms:300.;
+  Topology.merge_all (topo w);
+  run_sim w ~ms:1000.;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "n%d back in the primary" (Replica.node r))
+        true (Replica.in_primary r))
+    (all_replicas w);
+  (* Replica 2 crashes and its log is damaged early: recovery salvages
+     the prefix before the damage and under-claims its greens. *)
+  let laggard = rep w 2 in
+  Replica.crash laggard;
+  Alcotest.(check bool) "log damaged" true
+    (Replica.corrupt_log laggard ~nth:(Replica.log_entries laggard / 4));
+  (* Meanwhile the others move on and discard everything white. *)
+  for i = 31 to 40 do
+    set_kv' (rep w (i mod 2)) (Printf.sprintf "k%d" i) i
+  done;
+  run_sim w ~ms:500.;
+  Replica.checkpoint_now (rep w 0);
+  Replica.checkpoint_now (rep w 1);
+  run_sim w ~ms:50.;
+  Alcotest.(check bool) "peers discarded the first 30" true
+    (green_floor (rep w 0) >= 30 && green_floor (rep w 1) >= 30);
+  let incarnation = Replica.incarnation laggard in
+  Replica.recover laggard;
+  (match Replica.last_recovery laggard with
+  | Some (Persist.V_salvaged _) -> ()
+  | Some v -> Alcotest.failf "expected a salvaged recovery, got %a" Persist.pp_verdict v
+  | None -> Alcotest.fail "no recovery verdict");
+  Alcotest.(check bool) "salvage set the laggard behind the floors" true
+    (Repro_core.Engine.green_count (Replica.engine laggard) < 30);
+  run_sim w ~ms:3000.;
+  Alcotest.(check bool) "re-entered by snapshot (fresh incarnation)" true
+    (Replica.incarnation laggard > incarnation);
+  Alcotest.(check bool) "laggard ready" true (Replica.is_ready laggard);
+  Alcotest.(check int) "laggard caught up" 40
+    (Repro_core.Engine.green_count (Replica.engine laggard));
+  check_db_equal "caught up by snapshot" (rep w 0) laggard;
+  set_kv' laggard "after" 1;
+  run_sim w ~ms:500.;
+  check_db_equal "serves again" (rep w 0) laggard
+
 let test_periodic_checkpoint_bounds_log () =
   let nodes = [ 0; 1; 2 ] in
   let cluster =
@@ -961,6 +1085,36 @@ let test_action_queue_discard () =
     (Action_queue.nth_green q 7).Action.id.Action.Id.index;
   Alcotest.(check int) "idempotent below floor" 0 (Action_queue.discard_below q 4)
 
+(* Discarding drops the position index with the bodies; greenness of
+   every discarded id — of every creator — still answers through the
+   per-creator discard cut, and ids above it stay non-green. *)
+let test_action_queue_discard_cut () =
+  let q = Action_queue.create () in
+  let a s i = Action.make ~server:s ~index:i (Action.Update []) in
+  let id s i = { Action.Id.server = s; index = i } in
+  List.iter
+    (fun (s, i) -> ignore (Action_queue.append_green q (a s i)))
+    [ (0, 1); (1, 1); (0, 2); (1, 2); (0, 3); (2, 1) ];
+  ignore (Action_queue.discard_below q 4);
+  Alcotest.(check (option int)) "position dropped" None
+    (Action_queue.position q (id 1 2));
+  Alcotest.(check (option int)) "position kept above the floor" (Some 5)
+    (Action_queue.position q (id 0 3));
+  List.iter
+    (fun (s, i) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "(%d, %d) still green" s i)
+        true
+        (Action_queue.is_green q (id s i)))
+    [ (0, 1); (0, 2); (1, 1); (1, 2); (0, 3); (2, 1) ];
+  List.iter
+    (fun (s, i) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "(%d, %d) not green" s i)
+        false
+        (Action_queue.is_green q (id s i)))
+    [ (0, 4); (1, 3); (2, 2); (3, 1) ]
+
 let test_action_queue_floor () =
   let q = Action_queue.create () in
   Action_queue.set_join_floor q ~count:10
@@ -1027,6 +1181,10 @@ let () =
           Alcotest.test_case "joiner crash keeps inherited state" `Quick
             test_joiner_crash_recovers_inherited_state;
           Alcotest.test_case "gc respects laggards" `Quick test_gc_respects_laggards;
+          Alcotest.test_case "white line advances without view change" `Quick
+            test_white_line_advances_without_view_change;
+          Alcotest.test_case "behind every floor: catch up by snapshot" `Quick
+            test_behind_every_floor_catches_up_by_snapshot;
           Alcotest.test_case "periodic checkpoints bound the log" `Quick
             test_periodic_checkpoint_bounds_log;
         ] );
@@ -1050,5 +1208,7 @@ let () =
             test_knowledge_exchange_200_members;
           QCheck_alcotest.to_alcotest prop_knowledge_green_plan_covers;
           QCheck_alcotest.to_alcotest prop_knowledge_red_duties_cover;
+          Alcotest.test_case "action queue discard cut" `Quick
+            test_action_queue_discard_cut;
         ] );
     ]

@@ -29,11 +29,16 @@ let no_cpu_lan =
     recv_cpu_per_kb = Time.zero;
   }
 
-let make_cluster ?(config = no_cpu_lan) ?(params = Params.fast) ?(seed = 7) n =
+let make_cluster ?(config = no_cpu_lan) ?(params = Params.fast) ?(seed = 7)
+    ?(cpu = false) n =
   let engine = Engine.create ~seed () in
   let nodes = List.init n (fun i -> i) in
   let topology = Topology.create ~nodes in
   let network = Network.create ~engine ~topology ~config () in
+  if cpu then
+    List.iter
+      (fun node -> Network.attach_cpu network node (Resource.create engine))
+      nodes;
   let endpoints = Hashtbl.create n in
   let logs = Hashtbl.create n in
   List.iter
@@ -468,6 +473,84 @@ let test_throughput_smoke () =
     Alcotest.(check (list string)) "same order" d0 (delivered_payloads c n)
   done
 
+(* Safe-delivery latency must not inherit the slow housekeeping ack
+   timer.  After one safe message has become stable every member still
+   has a slow timer armed (its last ack went out before the others'
+   arrived).  A message ordered now is news: each member must cancel
+   that timer and ack at [ack_delay], so the message is delivered
+   everywhere within the order and ack delays plus one network round
+   (the coordinator's order out, the last member's ack back) — not
+   after the 25x housekeeping cadence. *)
+let test_safe_latency_not_gated_by_housekeeping () =
+  let params = Params.default in
+  let c = make_cluster ~params 3 in
+  join_all c;
+  run c ~ms:500.;
+  let delivered_everywhere m =
+    List.for_all (fun n -> List.mem m (delivered_payloads c n)) [ 0; 1; 2 ]
+  in
+  Endpoint.send (ep c 0) ~service:Safe ~size:100 "first";
+  run c ~ms:2.;
+  Alcotest.(check bool) "first message stable" true
+    (delivered_everywhere "first");
+  let t0 = Engine.now c.engine in
+  Endpoint.send (ep c 0) ~service:Safe ~size:100 "second";
+  while (not (delivered_everywhere "second")) && Engine.step c.engine do
+    ()
+  done;
+  let took = Time.diff (Engine.now c.engine) t0 in
+  (* One hop: 100 us propagation, 5% jitter, a few bytes of
+     serialisation. *)
+  let hop = Time.of_us 120 in
+  let bound =
+    Time.add params.order_delay
+      ~span:(Time.add params.ack_delay ~span:(Time.scale hop 2.))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "delivered in %d us (bound %d us)" (Time.to_us took)
+       (Time.to_us bound))
+    true
+    Time.(took <= bound)
+
+(* The ack busy-wait guard, at the layer where it lived: five members on
+   a CPU-charged LAN under a saturating stream of safe messages.  A fast
+   ack re-armed whenever safety is pending, news or not, floods every
+   receive queue (about 100 acks per delivery here).  The self-clocked
+   ack must slow down with stability: no more standalone [Ack]
+   multicasts per delivery than the fixed 25x housekeeping cadence it
+   replaced sent on this run (1,335 for 2,000 deliveries). *)
+let acks_per_delivery_ceiling = 1_335. /. 2_000.
+
+let test_ack_rate_under_cpu_load () =
+  let c =
+    make_cluster ~config:Network.lan_100mbit ~params:Params.default ~cpu:true 5
+  in
+  join_all c;
+  run c ~ms:500.;
+  let acks () =
+    Hashtbl.fold (fun _ e acc -> acc + Endpoint.acks_sent e) c.endpoints 0
+  in
+  let acks0 = acks () and delivered0 = List.length (log c 0).deliveries in
+  (* 2,000 safe messages at 33,000/s, several times what the members'
+     CPUs can receive. *)
+  for i = 0 to 1_999 do
+    ignore
+      (Engine.schedule c.engine
+         ~delay:(Time.of_us (30 * i))
+         (fun () ->
+           Endpoint.send (ep c (i mod 5)) ~service:Safe ~size:200
+             (string_of_int i)))
+  done;
+  run c ~ms:1_000.;
+  let delivered = List.length (log c 0).deliveries - delivered0 in
+  Alcotest.(check int) "every message delivered" 2_000 delivered;
+  let ratio = float_of_int (acks () - acks0) /. float_of_int delivered in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f acks per delivery (ceiling %.4f)" ratio
+       acks_per_delivery_ceiling)
+    true
+    (ratio <= acks_per_delivery_ceiling)
+
 let () =
   Alcotest.run "gcs"
     [
@@ -498,6 +581,10 @@ let () =
           Alcotest.test_case "store eviction bounds memory" `Quick
             test_store_eviction_bounds_memory;
           Alcotest.test_case "causality preserved" `Quick test_causality_preserved;
+          Alcotest.test_case "safe latency not gated by housekeeping" `Quick
+            test_safe_latency_not_gated_by_housekeeping;
+          Alcotest.test_case "ack rate under CPU load" `Quick
+            test_ack_rate_under_cpu_load;
         ] );
       ( "evs",
         [
