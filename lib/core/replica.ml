@@ -415,9 +415,8 @@ let catch_up t e ~sponsors =
   t.incarnation <- t.incarnation + 1;
   t.incoming <- None;
   t.joiner_waiting <- true;
-  let fallback, retry = rejoin_sponsors t in
-  let sponsors = if sponsors = [] then fallback else sponsors in
-  joiner_request_loop t sponsors sponsors retry
+  (* [sponsors] is never empty: some other member is further ahead. *)
+  joiner_request_loop t sponsors sponsors (snd (rejoin_sponsors t))
 
 let make_callbacks t =
   {
