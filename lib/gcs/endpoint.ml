@@ -443,11 +443,15 @@ let handle_ack t cs ~from ~upto =
   let prev = match Hashtbl.find_opt cs.acks from with Some a -> a | None -> 0 in
   if upto > prev then begin
     Hashtbl.replace cs.acks from upto;
+    let safe = cs.safe_upto in
     recompute_safe cs;
-    try_deliver t cs;
-    evict cs;
-    (* The safe line may now have absorbed our own last ack. *)
-    arm_ack t cs ~housekeeping:false
+    (* Only a higher safe line can release deliveries, free the store or
+       absorb our own last ack. *)
+    if cs.safe_upto > safe then begin
+      try_deliver t cs;
+      evict cs;
+      arm_ack t cs ~housekeeping:false
+    end
   end
   [@@analysis.hotpath "O(members+queue)"]
 
