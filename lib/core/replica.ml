@@ -216,6 +216,13 @@ let flush_query_waiters t =
      request queue; the list is consumed as it is flushed. *)
   [@@analysis.cost "O(queue); alloc O(queue)"]
 
+(* Run one action's body against [db].  Every execution — green apply,
+   the dirty response, the dirty copy — goes through here, so the
+   replica's procedure table and the footprint hook are fixed in one
+   place. *)
+let execute t db a =
+  Executor.execute ?on_procedure:t.proc_hook ~procs:t.procs db a
+
 (* Execute one green action with exactly-once suppression.  Every path
    that applies greens — live apply, recovery replay — goes through
    here, so the dedup decision is a pure function of the green prefix
@@ -231,9 +238,7 @@ let execute_green t (a : Action.t) =
     Dedup.observe_ack t.dedup ~client:a.Action.client ~ack:a.Action.req_ack;
     (match cached with Some r -> r | None -> Action.Aborted)
   | Dedup.Fresh ->
-    let response =
-      Executor.execute ?on_procedure:t.proc_hook ~procs:t.procs t.db a
-    in
+    let response = execute t t.db a in
     Dedup.record t.dedup ~client:a.Action.client ~seq:a.Action.req_seq
       ~ack:a.Action.req_ack response;
     response
@@ -291,9 +296,7 @@ let apply_red t (a : Action.t) =
       end
       else
         (* The response is computed against the dirty state. *)
-        k
-          (Executor.execute ?on_procedure:t.proc_hook ~procs:t.procs
-             (Database.copy t.db) a)
+        k (execute t (Database.copy t.db) a)
     | None -> ()
 
 let transfer_chunk_bytes = 65_536
@@ -711,9 +714,7 @@ let dirty_db t =
               (Dedup.is_applied t.dedup ~client:a.Action.client
                  ~seq:a.Action.req_seq)
           then
-            ignore
-              (Executor.execute ?on_procedure:t.proc_hook ~procs:t.procs copy
-                 a))
+            ignore (execute t copy a))
         (Engine.red_actions e);
       t.dirty_cache <- Some (fst key, snd key, copy);
       copy)

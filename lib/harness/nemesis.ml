@@ -274,80 +274,102 @@ let run ?(config = default_config) () =
     Topology.merge_all (World.topology w);
     tally.t_heals <- tally.t_heals + 1
   in
-  (* --- active phase ---------------------------------------------- *)
   let sim = World.sim w in
-  let deadline =
-    Sim.Time.add (Sim.Engine.now sim) ~span:(Sim.Time.of_ms cfg.active_ms)
-  in
-  while Sim.Engine.now sim < deadline do
-    tally.t_steps <- tally.t_steps + 1;
-    let roll = Sim.Rng.int rng 100 in
-    if roll < 35 then submit_burst (1 + Sim.Rng.int rng 3)
-    else if roll < 55 then crash_one ()
-    else if roll < 72 then recover_one ()
-    else if roll < 82 then corrupt_one ()
-    else if roll < 91 then partition ()
-    else heal ();
-    World.run w ~ms:(float_of_int (20 + Sim.Rng.int rng 180))
-  done;
-  (* --- heal, recover everyone, settle ----------------------------- *)
-  (* Stop issuing new client requests; each session still drives its
-     outstanding one (retries included) to completion during settle. *)
-  issuing := false;
-  Topology.merge_all (World.topology w);
-  List.iter (recover_and_tally tally) (down ());
   let all_ready () = List.for_all Replica.is_ready (World.replicas w) in
-  let settle_deadline =
-    Sim.Time.add (Sim.Engine.now sim) ~span:(Sim.Time.of_ms cfg.settle_ms)
+  let campaign () =
+    (* --- active phase -------------------------------------------- *)
+    let deadline =
+      Sim.Time.add (Sim.Engine.now sim) ~span:(Sim.Time.of_ms cfg.active_ms)
+    in
+    while Sim.Engine.now sim < deadline do
+      tally.t_steps <- tally.t_steps + 1;
+      let roll = Sim.Rng.int rng 100 in
+      if roll < 35 then submit_burst (1 + Sim.Rng.int rng 3)
+      else if roll < 55 then crash_one ()
+      else if roll < 72 then recover_one ()
+      else if roll < 82 then corrupt_one ()
+      else if roll < 91 then partition ()
+      else heal ();
+      World.run w ~ms:(float_of_int (20 + Sim.Rng.int rng 180))
+    done;
+    (* --- heal, recover everyone, settle --------------------------- *)
+    (* Stop issuing new client requests; each session still drives its
+       outstanding one (retries included) to completion during settle. *)
+    issuing := false;
+    Topology.merge_all (World.topology w);
+    List.iter (recover_and_tally tally) (down ());
+    let settle_deadline =
+      Sim.Time.add (Sim.Engine.now sim) ~span:(Sim.Time.of_ms cfg.settle_ms)
+    in
+    (* Amnesiac rejoins go through sponsor retries and state transfer:
+       poll in slices rather than burning the whole budget blindly. *)
+    while Sim.Engine.now sim < settle_deadline && not (all_ready ()) do
+      World.run w ~ms:1_000.
+    done;
+    World.run w ~ms:2_000.
   in
-  (* Amnesiac rejoins go through sponsor retries and state transfer:
-     poll in slices rather than burning the whole budget blindly. *)
-  while Sim.Engine.now sim < settle_deadline && not (all_ready ()) do
-    World.run w ~ms:1_000.
-  done;
-  World.run w ~ms:2_000.;
+  (* An exception escaping the simulation (an engine invariant tripped
+     by the schedule) is a finding like any checker's: it is reported
+     with the seed and the virtual time it struck at, and the end-state
+     checkers are skipped — they would only inspect a half-done step. *)
+  let escaped =
+    match campaign () with
+    | () -> None
+    | exception e ->
+      Some
+        (Printf.sprintf "exception: %s (seed %d, virtual time %.3f ms)"
+           (Printexc.to_string e) cfg.seed
+           (Sim.Time.to_ms (Sim.Engine.now sim)))
+  in
   (* --- verdicts ---------------------------------------------------- *)
-  Monitor.check_now monitor;
-  let monitor_violations =
-    List.map
-      (fun v -> Format.asprintf "%a" Repro_check.Snapshot.pp_violation v)
-      (Monitor.violations monitor)
+  let verdicts () =
+    Monitor.check_now monitor;
+    let monitor_violations =
+      List.map
+        (fun v -> Format.asprintf "%a" Repro_check.Snapshot.pp_violation v)
+        (Monitor.violations monitor)
+    in
+    let ledgers =
+      List.map
+        (fun c ->
+          {
+            Consistency.l_client = Client.id c;
+            l_key = Printf.sprintf "cc%d" (Client.id c);
+            l_issued = Client.issued c;
+            l_acked = Client.acked c;
+          })
+        sessions
+    in
+    let consistency_violations =
+      List.map
+        (fun v -> Format.asprintf "%a" Consistency.pp_violation v)
+        (Consistency.check_all ~converged:true (World.replicas w)
+        @ Consistency.check_exactly_once ~ledgers (World.replicas w))
+    in
+    let guard_violations =
+      List.map
+        (fun v -> Format.asprintf "%a" Procguard.pp_violation v)
+        (Procguard.violations guard)
+    in
+    let stragglers =
+      if all_ready () then []
+      else
+        List.filter_map
+          (fun r ->
+            if Replica.is_ready r then None
+            else
+              Some
+                (Printf.sprintf "liveness: n%d never became ready again"
+                   (Replica.node r)))
+          (World.replicas w)
+    in
+    monitor_violations @ consistency_violations @ guard_violations
+    @ stragglers
   in
-  let ledgers =
-    List.map
-      (fun c ->
-        {
-          Consistency.l_client = Client.id c;
-          l_key = Printf.sprintf "cc%d" (Client.id c);
-          l_issued = Client.issued c;
-          l_acked = Client.acked c;
-        })
-      sessions
-  in
-  let consistency_violations =
-    List.map
-      (fun v -> Format.asprintf "%a" Consistency.pp_violation v)
-      (Consistency.check_all ~converged:true (World.replicas w)
-      @ Consistency.check_exactly_once ~ledgers (World.replicas w))
-  in
-  let guard_violations =
-    List.map
-      (fun v -> Format.asprintf "%a" Procguard.pp_violation v)
-      (Procguard.violations guard)
+  let violations =
+    match escaped with Some v -> [ v ] | None -> verdicts ()
   in
   let ready = List.filter Replica.is_ready (World.replicas w) in
-  let stragglers =
-    if all_ready () then []
-    else
-      List.filter_map
-        (fun r ->
-          if Replica.is_ready r then None
-          else
-            Some
-              (Printf.sprintf "liveness: n%d never became ready again"
-                 (Replica.node r)))
-        (World.replicas w)
-  in
   let greens =
     List.fold_left
       (fun acc r -> max acc (Repro_core.Engine.green_count (Replica.engine r)))
@@ -374,7 +396,5 @@ let run ?(config = default_config) () =
     o_failovers = sum Client.failovers sessions;
     o_dupes_suppressed = sum Replica.dupes_suppressed (World.replicas w);
     o_shed = sum Replica.shed (World.replicas w);
-    o_violations =
-      monitor_violations @ consistency_violations @ guard_violations
-      @ stragglers;
+    o_violations = violations;
   }

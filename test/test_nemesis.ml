@@ -243,6 +243,33 @@ let test_nemesis_deterministic () =
   let b = Nemesis.run ~config () in
   Alcotest.(check bool) "same outcome" true (a = b)
 
+(* Seed 215 trips the engine's green-gap assertion mid-campaign (a
+   crash-torn replica re-forms a primary with a member that knew less;
+   ROADMAP item 6).  The exception must come back as the campaign's one
+   violation, naming itself, the seed and the virtual time, instead of
+   escaping [Nemesis.run].  ROADMAP item 6 will turn this seed clean;
+   the test then needs another schedule that raises. *)
+let test_nemesis_exception_is_violation () =
+  let o = Nemesis.run ~config:{ Nemesis.default_config with seed = 215 } () in
+  Alcotest.(check bool) "not converged" false (Nemesis.converged o);
+  match o.Nemesis.o_violations with
+  | [ v ] ->
+    let mentions sub =
+      let n = String.length sub in
+      let rec from i =
+        i + n <= String.length v && (String.sub v i n = sub || from (i + 1))
+      in
+      from 0
+    in
+    List.iter
+      (fun sub -> Alcotest.(check bool) ("mentions " ^ sub) true (mentions sub))
+      [
+        "Engine.mark_green: gap below a green action";
+        "seed 215";
+        "virtual time";
+      ]
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
 let () =
   Alcotest.run "nemesis"
     [
@@ -268,5 +295,7 @@ let () =
             test_nemesis_campaign_seed42;
           Alcotest.test_case "seeded campaign is deterministic" `Quick
             test_nemesis_deterministic;
+          Alcotest.test_case "escaped exception is a violation" `Quick
+            test_nemesis_exception_is_violation;
         ] );
     ]
